@@ -1,9 +1,8 @@
 //! # cadmc-bench
 //!
 //! The benchmark/reproduction harness: one binary per table and figure of
-//! the paper's evaluation (see `src/bin/`), plus Criterion
-//! microbenchmarks and ablations (see `benches/`). Shared formatting
-//! helpers live here.
+//! the paper's evaluation, plus the ablation and overhead harnesses (see
+//! `src/bin/`). Shared formatting helpers live here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

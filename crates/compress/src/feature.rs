@@ -14,7 +14,7 @@
 //!
 //! Byte math is defined canonically here so every consumer (the O(1)
 //! kernel overlay in `Candidate::transfer_bytes`, the differential scalar
-//! walk, the IR front-end's u128 overflow mirror) agrees bit-for-bit:
+//! walk) agrees bit-for-bit:
 //!
 //! ```text
 //! elems = ceil(raw_bytes / 4)          # f32 elements in the cut tensor
@@ -22,6 +22,10 @@
 //! bytes = ceil(kept * quant_bits / 8)  # packed at the quantized width
 //! out   = min(bytes, raw_bytes)        # never larger than the raw tensor
 //! ```
+//!
+//! None of it can overflow on a checked model: `cadmc_nn::CheckedWalk`
+//! caps every cut tensor at 2^40 elements, so raw and packed bytes stay
+//! at most 2^42.
 //!
 //! The identity action returns `raw_bytes` unchanged (no rounding drift),
 //! so feature-disabled paths remain bit-identical to pre-feature behavior.

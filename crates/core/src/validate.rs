@@ -39,9 +39,10 @@ pub enum ValidateError {
         /// Name of the offending model.
         name: String,
     },
-    /// The recorded layer chain does not shape-check: some layer cannot
-    /// consume its predecessor's output (or a deserialized spec's cached
-    /// shapes disagree with re-inference).
+    /// The recorded layer chain does not pass nn's checked walk: some
+    /// layer cannot consume its predecessor's output, a tensor or cost
+    /// leaves the caps, or a deserialized spec's recorded shapes disagree
+    /// with re-inference.
     ShapeInconsistent {
         /// Name of the offending model.
         name: String,
@@ -319,10 +320,11 @@ impl std::fmt::Display for ValidateError {
 
 impl std::error::Error for ValidateError {}
 
-/// Checks that `spec` is non-empty and its layer chain shape-checks from
-/// the recorded input: each layer must consume its predecessor's output
-/// and reproduce the recorded per-layer output shape (deserialized specs
-/// carry recorded shapes that re-inference must agree with).
+/// Checks that `spec` is non-empty and passes nn's checked walk from
+/// the recorded input: each layer must consume its predecessor's output,
+/// reproduce the recorded per-layer output shape (deserialized specs
+/// carry recorded shapes that re-inference must agree with), and stay
+/// within the element and cost caps.
 ///
 /// # Errors
 ///
@@ -333,32 +335,12 @@ pub fn model_spec(spec: &ModelSpec) -> Result<(), ValidateError> {
             name: spec.name().to_string(),
         });
     }
-    let mut shape = spec.input_shape();
-    for (i, layer) in spec.layers().iter().enumerate() {
-        match layer.output_shape(shape) {
-            Ok(out) => {
-                let recorded = spec.layer_output(i);
-                if out != recorded {
-                    return Err(ValidateError::ShapeInconsistent {
-                        name: spec.name().to_string(),
-                        layer: i,
-                        detail: format!(
-                            "re-inferred output {out} disagrees with recorded {recorded}"
-                        ),
-                    });
-                }
-                shape = out;
-            }
-            Err(e) => {
-                return Err(ValidateError::ShapeInconsistent {
-                    name: spec.name().to_string(),
-                    layer: i,
-                    detail: e.to_string(),
-                })
-            }
-        }
-    }
-    Ok(())
+    spec.recheck()
+        .map_err(|(layer, e)| ValidateError::ShapeInconsistent {
+            name: spec.name().to_string(),
+            layer,
+            detail: e.to_string(),
+        })
 }
 
 /// Checks that `levels` is non-empty, every level is positive and finite,

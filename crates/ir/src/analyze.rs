@@ -9,30 +9,23 @@
 //! 4. edge-chain legality: cycle (IR201), fork/merge/split component
 //!    (IR202), unreachable layers dropped with IR301
 //! 5. skip folding into residual blocks (IR008, IR203)
-//! 6. checked shape/cost dataflow in 128-bit arithmetic (IR101, IR204,
-//!    IR303) — this is what guarantees the nn crate's native usize/u64
-//!    cost kernels cannot overflow on any accepted model
+//! 6. nn's checked shape-and-cost walk ([`CheckedWalk`]) over the chain,
+//!    its typed errors mapped to IR101, IR204 and IR303 at layer spans —
+//!    the same walk `ModelSpec::new` runs, so an accepted model cannot
+//!    overflow nn's `u64` cost accessors
 //! 7. structural lints (IR302 dead branch, IR304 unannotated class)
-//! 8. `ModelSpec` construction + `core::validate` reuse (IR205, IR206)
+//! 8. `ModelSpec` construction + `core::validate` reuse for the block
+//!    count and bandwidth levels (IR205, IR206)
 
 use std::collections::BTreeMap;
 
 use cadmc_compress::{BottleneckKnob, FeatureAction, QuantKnob};
 use cadmc_core::validate;
-use cadmc_nn::{LayerSpec, ModelSpec, Shape};
+use cadmc_nn::{CheckedWalk, LayerSpec, ModelSpec, Shape, ShapeError};
 
 use crate::ast::{DimRef, DimValue, LayerDecl, ModelAst, OpAst};
 use crate::diag::{sort_diagnostics, Code, Diagnostic, Severity, Span};
 use crate::emit;
-
-/// Maximum elements in any intermediate tensor (keeps `Shape::len` and
-/// every transfer-byte computation far from usize overflow).
-pub const MAX_ELEMENTS: u128 = 1 << 40;
-
-/// Maximum per-layer and cumulative MACC / parameter count. Anything
-/// above this is reported as IR303 instead of being allowed to reach the
-/// nn crate's unchecked u64/usize arithmetic.
-pub const MAX_COST: u128 = 1 << 62;
 
 /// A fully analyzed model: the only way user-supplied IR text reaches a
 /// search entry point. Construction proves shapes, partition legality
@@ -127,45 +120,6 @@ pub struct Analysis {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-/// 128-bit shape mirror used by the checked dataflow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Shape128 {
-    c: u128,
-    h: u128,
-    w: u128,
-}
-
-impl Shape128 {
-    fn len(self) -> Option<u128> {
-        let n = self.c.checked_mul(self.h)?.checked_mul(self.w)?;
-        (n <= MAX_ELEMENTS).then_some(n)
-    }
-
-    fn display(self) -> String {
-        format!("{}x{}x{}", self.c, self.h, self.w)
-    }
-}
-
-enum InferErr {
-    /// IR101: layer incompatible with its input shape.
-    Shape(String),
-    /// IR204: residual join mismatch.
-    Join(String),
-    /// IR303: element count or cost leaves the checked envelope.
-    Overflow(String),
-}
-
-fn overflow_cost() -> InferErr {
-    InferErr::Overflow(
-        "per-layer MACC/parameter count exceeds the 2^62 analysis cap".to_string(),
-    )
-}
-
-/// Checked u128 multiply; anything that would overflow is a cost error.
-fn cmul(a: u128, b: u128) -> Result<u128, InferErr> {
-    a.checked_mul(b).ok_or_else(overflow_cost)
-}
-
 struct Analyzer<'a> {
     ast: &'a ModelAst,
     dims: BTreeMap<String, u64>,
@@ -231,12 +185,7 @@ impl<'a> Analyzer<'a> {
             (Some(shape), Some(chain)) if !self.has_errors() => (shape, chain),
             _ => return None,
         };
-        let in128 = Shape128 {
-            c: input_shape.c as u128,
-            h: input_shape.h as u128,
-            w: input_shape.w as u128,
-        };
-        if !self.dataflow(in128, &chain) {
+        if !self.dataflow(input_shape, &chain) {
             return None;
         }
         self.lint_dead_branches(&chain);
@@ -271,16 +220,6 @@ impl<'a> Analyzer<'a> {
             }
             None => None,
         };
-        if (bottleneck.is_some() || quant.is_some())
-            && !self.feature_bytes_mirror(
-                in128,
-                &chain,
-                bottleneck.unwrap_or(1) as u128,
-                quant.unwrap_or(32) as u128,
-            )
-        {
-            return None;
-        }
         if self.has_errors() {
             return None;
         }
@@ -288,16 +227,13 @@ impl<'a> Analyzer<'a> {
         let spec = match ModelSpec::new(self.ast.name.clone(), input_shape, layers) {
             Ok(s) => s,
             Err(e) => {
-                // Defense in depth: the checked dataflow mirrors nn's
-                // shape rules, so this path should be unreachable.
+                // Defense in depth: pass 6 ran this same walk on this
+                // non-empty chain, so this path should be unreachable (and
+                // `validate::model_spec` would only repeat it).
                 self.error(Code::ShapeInference, self.ast.name_span, format!("{e}"));
                 return None;
             }
         };
-        if let Err(e) = validate::model_spec(&spec) {
-            self.error(Code::CoreValidation, self.ast.name_span, format!("{e}"));
-            return None;
-        }
         let blocks = match self.ast.blocks {
             Some((n, span)) => match validate::block_count(&spec, n as usize) {
                 Ok(()) => Some(n as usize),
@@ -818,103 +754,48 @@ impl<'a> Analyzer<'a> {
 
     // ---- pass 6: checked dataflow ----------------------------------
 
-    /// Walks the chain computing shapes and costs in 128-bit checked
-    /// arithmetic. Returns false when any diagnostic was raised.
-    fn dataflow(&mut self, input: Shape128, chain: &[(LayerSpec, Span)]) -> bool {
-        if input.len().is_none() {
-            self.error(
-                Code::CostOverflow,
-                self.ast.name_span,
-                format!(
-                    "input tensor {} exceeds the {MAX_ELEMENTS}-element analysis cap",
-                    input.display()
-                ),
-            );
-            return false;
-        }
-        let mut shape = input;
-        let mut total_maccs: u128 = 0;
-        let mut total_params: u128 = 0;
-        for (layer, span) in chain {
-            let out = match infer(layer, shape) {
-                Ok(out) => out,
-                Err(e) => {
-                    self.infer_err(e, *span);
-                    return false;
-                }
-            };
-            match cost(layer, shape) {
-                Ok((m, p)) => {
-                    total_maccs += m;
-                    total_params += p;
-                    if total_maccs > MAX_COST || total_params > MAX_COST {
-                        self.error(
-                            Code::CostOverflow,
-                            *span,
-                            "cumulative MACC/parameter count exceeds the 2^62 analysis cap",
-                        );
-                        return false;
-                    }
-                }
-                Err(e) => {
-                    self.infer_err(e, *span);
-                    return false;
-                }
-            }
-            shape = out;
-        }
-        true
-    }
-
-    /// Checked u128 mirror of the feature-compression byte math
-    /// (`cadmc_compress::FeatureAction::compressed_bytes`) over every
-    /// legal cut tensor: the input plus each layer output. Accepting a
-    /// model here proves the native u64 feature arithmetic — raw bytes,
-    /// kept elements under the bottleneck divisor, packed bits under the
-    /// quantization width — cannot overflow on any cut the search may
-    /// pick. Returns false when an IR303 was raised.
-    fn feature_bytes_mirror(
-        &mut self,
-        input: Shape128,
-        chain: &[(LayerSpec, Span)],
-        divisor: u128,
-        bits: u128,
-    ) -> bool {
-        let mut shape = input;
-        let mut span = self.ast.name_span;
-        for i in 0..=chain.len() {
-            let checked = (|| -> Result<(), InferErr> {
-                let elems = shape.len().ok_or_else(overflow_cost)?;
-                let raw = cmul(elems, 4)?;
-                let kept = elems.div_ceil(divisor);
-                let packed = cmul(kept, bits)?.div_ceil(8);
-                if raw > MAX_COST || packed > MAX_COST {
-                    return Err(overflow_cost());
-                }
-                Ok(())
-            })();
-            if let Err(e) = checked {
-                self.infer_err(e, span);
+    /// Walks the chain with nn's [`CheckedWalk`], reporting its first
+    /// error at the offending layer (the model name for the input).
+    /// Returns false when a diagnostic was raised.
+    fn dataflow(&mut self, input: Shape, chain: &[(LayerSpec, Span)]) -> bool {
+        let mut walk = match CheckedWalk::new(input) {
+            Ok(walk) => walk,
+            Err(e) => {
+                self.walk_error(e, self.ast.name_span);
                 return false;
             }
-            if let Some((layer, lspan)) = chain.get(i) {
-                span = *lspan;
-                shape = match infer(layer, shape) {
-                    Ok(s) => s,
-                    // The main dataflow pass already diagnosed this.
-                    Err(_) => return true,
-                };
+        };
+        for (layer, span) in chain {
+            if let Err(e) = walk.step(layer) {
+                self.walk_error(e, *span);
+                return false;
             }
         }
         true
     }
 
-    fn infer_err(&mut self, e: InferErr, span: Span) {
-        match e {
-            InferErr::Shape(msg) => self.error(Code::ShapeInference, span, msg),
-            InferErr::Join(msg) => self.error(Code::SkipShapeMismatch, span, msg),
-            InferErr::Overflow(msg) => self.error(Code::CostOverflow, span, msg),
-        }
+    /// Maps a walk error to its stable code, adding IR-syntax hints.
+    fn walk_error(&mut self, e: ShapeError, span: Span) {
+        let (code, hint) = match e {
+            ShapeError::ExpectedFlat { .. } => {
+                (Code::ShapeInference, " (insert `flatten` or `gap`)")
+            }
+            ShapeError::ResidualMismatch { projected, .. } => (
+                Code::SkipShapeMismatch,
+                if projected {
+                    ""
+                } else {
+                    " (add a projection `project=(out, s)`)"
+                },
+            ),
+            ShapeError::InputTooLarge { .. }
+            | ShapeError::TooManyElements { .. }
+            | ShapeError::CostTooLarge { .. } => (Code::CostOverflow, ""),
+            ShapeError::KernelTooLarge { .. }
+            | ShapeError::RecordedCount { .. }
+            | ShapeError::RecordedMismatch { .. } => (Code::ShapeInference, ""),
+        };
+        self.error(code, span, format!("{e}{hint}"));
     }
 
     // ---- pass 7: lints ---------------------------------------------
@@ -1015,295 +896,6 @@ fn op_name(op: &OpAst) -> &'static str {
         OpAst::InvRes { .. } => "invres",
         OpAst::Residual { .. } => "residual",
     }
-}
-
-/// Checked mirror of `conv_out`.
-fn conv_out128(s: Shape128, k: u128, stride: u128, pad: u128) -> Option<(u128, u128)> {
-    if stride == 0 {
-        return None;
-    }
-    let ph = s.h + 2 * pad;
-    let pw = s.w + 2 * pad;
-    if ph < k || pw < k {
-        return None;
-    }
-    Some(((ph - k) / stride + 1, (pw - k) / stride + 1))
-}
-
-/// Checked mirror of `LayerSpec::output_shape`, with the element cap.
-fn infer(layer: &LayerSpec, input: Shape128) -> Result<Shape128, InferErr> {
-    let kernel_err = |k: usize, s: usize| {
-        InferErr::Shape(format!(
-            "kernel {k} (stride {s}) does not fit the padded input {}",
-            input.display()
-        ))
-    };
-    let out = match *layer {
-        LayerSpec::Conv2d {
-            kernel,
-            stride,
-            pad,
-            out_channels,
-        } => {
-            let (h, w) = conv_out128(input, kernel as u128, stride as u128, pad as u128)
-                .ok_or_else(|| kernel_err(kernel, stride))?;
-            Shape128 {
-                c: out_channels as u128,
-                h,
-                w,
-            }
-        }
-        LayerSpec::DepthwiseConv2d {
-            kernel,
-            stride,
-            pad,
-        } => {
-            let (h, w) = conv_out128(input, kernel as u128, stride as u128, pad as u128)
-                .ok_or_else(|| kernel_err(kernel, stride))?;
-            Shape128 { c: input.c, h, w }
-        }
-        LayerSpec::MaxPool2d { kernel, stride } => {
-            let (h, w) = conv_out128(input, kernel as u128, stride as u128, 0)
-                .ok_or_else(|| kernel_err(kernel, stride))?;
-            Shape128 { c: input.c, h, w }
-        }
-        LayerSpec::GlobalAvgPool => Shape128 {
-            c: input.c,
-            h: 1,
-            w: 1,
-        },
-        LayerSpec::Flatten => {
-            let n = input.len().ok_or_else(|| {
-                InferErr::Overflow(format!(
-                    "flattening {} exceeds the {MAX_ELEMENTS}-element cap",
-                    input.display()
-                ))
-            })?;
-            Shape128 { c: n, h: 1, w: 1 }
-        }
-        LayerSpec::Fc { out_features } => {
-            if input.h != 1 || input.w != 1 {
-                return Err(InferErr::Shape(format!(
-                    "fc expects a flattened input, got {} (insert `flatten` or `gap`)",
-                    input.display()
-                )));
-            }
-            Shape128 {
-                c: out_features as u128,
-                h: 1,
-                w: 1,
-            }
-        }
-        LayerSpec::BatchNorm | LayerSpec::Dropout => input,
-        LayerSpec::Fire {
-            expand1, expand3, ..
-        } => Shape128 {
-            c: expand1 as u128 + expand3 as u128,
-            h: input.h,
-            w: input.w,
-        },
-        LayerSpec::InvertedResidual {
-            stride,
-            out_channels,
-            ..
-        } => {
-            let (h, w) =
-                conv_out128(input, 3, stride as u128, 1).ok_or_else(|| kernel_err(3, stride))?;
-            Shape128 {
-                c: out_channels as u128,
-                h,
-                w,
-            }
-        }
-        LayerSpec::Residual {
-            ref body,
-            projection,
-        } => {
-            let mut s = input;
-            for l in body {
-                s = infer(l, s)?;
-            }
-            let shortcut = match projection {
-                Some((out_c, stride)) => {
-                    let (h, w) = conv_out128(input, 1, stride as u128, 0)
-                        .ok_or_else(|| kernel_err(1, stride))?;
-                    Shape128 {
-                        c: out_c as u128,
-                        h,
-                        w,
-                    }
-                }
-                None => input,
-            };
-            if shortcut != s {
-                return Err(InferErr::Join(format!(
-                    "residual join mismatch: body produces {}, shortcut carries {}{}",
-                    s.display(),
-                    shortcut.display(),
-                    if projection.is_some() {
-                        ""
-                    } else {
-                        " (add a projection `project=(out, s)`)"
-                    }
-                )));
-            }
-            s
-        }
-    };
-    out.len().ok_or_else(|| {
-        InferErr::Overflow(format!(
-            "tensor {} exceeds the {MAX_ELEMENTS}-element cap",
-            out.display()
-        ))
-    })?;
-    Ok(out)
-}
-
-/// Checked mirror of `LayerSpec::{maccs, param_count}` in u128. Returns
-/// `(maccs, params)`; values above [`MAX_COST`] are overflow errors.
-/// Accepting a model here proves the nn crate's native u64/usize cost
-/// arithmetic cannot overflow on it.
-fn cost(layer: &LayerSpec, input: Shape128) -> Result<(u128, u128), InferErr> {
-    let (maccs, params) = match *layer {
-        LayerSpec::Conv2d {
-            kernel,
-            stride,
-            pad,
-            out_channels,
-        } => {
-            let (h, w) =
-                conv_out128(input, kernel as u128, stride as u128, pad as u128).unwrap_or((0, 0));
-            let k2 = cmul(kernel as u128, kernel as u128)?;
-            let kc = cmul(k2, input.c)?;
-            let kco = cmul(kc, out_channels as u128)?;
-            let m = cmul(cmul(kco, h)?, w)?;
-            let p = kco
-                .checked_add(out_channels as u128)
-                .ok_or_else(overflow_cost)?;
-            (m, p)
-        }
-        LayerSpec::DepthwiseConv2d {
-            kernel,
-            stride,
-            pad,
-        } => {
-            let (h, w) =
-                conv_out128(input, kernel as u128, stride as u128, pad as u128).unwrap_or((0, 0));
-            let k2 = cmul(kernel as u128, kernel as u128)?;
-            let kc = cmul(k2, input.c)?;
-            (
-                cmul(cmul(kc, h)?, w)?,
-                kc.checked_add(input.c).ok_or_else(overflow_cost)?,
-            )
-        }
-        LayerSpec::Fc { out_features } => {
-            let len = cmul(cmul(input.c, input.h)?, input.w)?;
-            let m = cmul(len, out_features as u128)?;
-            (
-                m,
-                m.checked_add(out_features as u128).ok_or_else(overflow_cost)?,
-            )
-        }
-        LayerSpec::MaxPool2d { .. }
-        | LayerSpec::GlobalAvgPool
-        | LayerSpec::Flatten
-        | LayerSpec::Dropout => (0, 0),
-        LayerSpec::BatchNorm => (0, cmul(2, input.c)?),
-        LayerSpec::Fire {
-            squeeze,
-            expand1,
-            expand3,
-        } => {
-            let sq = LayerSpec::Conv2d {
-                kernel: 1,
-                stride: 1,
-                pad: 0,
-                out_channels: squeeze,
-            };
-            let mid = infer(&sq, input)?;
-            let (m1, p1) = cost(&sq, input)?;
-            let e1 = LayerSpec::Conv2d {
-                kernel: 1,
-                stride: 1,
-                pad: 0,
-                out_channels: expand1,
-            };
-            let e3 = LayerSpec::Conv2d {
-                kernel: 3,
-                stride: 1,
-                pad: 1,
-                out_channels: expand3,
-            };
-            let (m2, p2) = cost(&e1, mid)?;
-            let (m3, p3) = cost(&e3, mid)?;
-            (m1 + m2 + m3, p1 + p2 + p3)
-        }
-        LayerSpec::InvertedResidual {
-            expansion,
-            stride,
-            out_channels,
-        } => {
-            let hidden = cmul(input.c, expansion as u128)?;
-            if hidden > MAX_ELEMENTS {
-                return Err(overflow_cost());
-            }
-            let expand = LayerSpec::Conv2d {
-                kernel: 1,
-                stride: 1,
-                pad: 0,
-                out_channels: hidden as usize,
-            };
-            let mid = infer(&expand, input)?;
-            let dw = LayerSpec::DepthwiseConv2d {
-                kernel: 3,
-                stride,
-                pad: 1,
-            };
-            let dw_out = infer(&dw, mid)?;
-            let proj = LayerSpec::Conv2d {
-                kernel: 1,
-                stride: 1,
-                pad: 0,
-                out_channels,
-            };
-            let (m1, p1) = cost(&expand, input)?;
-            let (m2, p2) = cost(&dw, mid)?;
-            let (m3, p3) = cost(&proj, dw_out)?;
-            (m1 + m2 + m3, p1 + p2 + p3)
-        }
-        LayerSpec::Residual {
-            ref body,
-            projection,
-        } => {
-            let mut s = input;
-            let (mut m, mut p) = (0u128, 0u128);
-            for l in body {
-                let (lm, lp) = cost(l, s)?;
-                m += lm;
-                p += lp;
-                if m > MAX_COST || p > MAX_COST {
-                    return Err(overflow_cost());
-                }
-                s = infer(l, s)?;
-            }
-            if let Some((out_c, stride)) = projection {
-                let proj = LayerSpec::Conv2d {
-                    kernel: 1,
-                    stride,
-                    pad: 0,
-                    out_channels: out_c,
-                };
-                let (pm, pp) = cost(&proj, input)?;
-                m += pm;
-                p += pp;
-            }
-            (m, p)
-        }
-    };
-    if maccs > MAX_COST || params > MAX_COST {
-        return Err(overflow_cost());
-    }
-    Ok((maccs, params))
 }
 
 #[cfg(test)]

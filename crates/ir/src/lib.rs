@@ -9,10 +9,10 @@
 //!
 //! The payoff is the [`CheckedModel`] type: the only way IR text reaches
 //! a search entry point ([`entry`]). Analysis proves shape legality,
-//! chain/partition legality (reusing `core::validate`) and — via a
-//! 128-bit checked mirror of the nn crate's cost kernels — that no
-//! accepted model can overflow the native MACC / transfer-byte
-//! arithmetic.
+//! chain/partition legality (reusing `core::validate`) and — by running
+//! the nn crate's checked shape-and-cost walk (`cadmc_nn::CheckedWalk`)
+//! — that no accepted model can overflow the native MACC /
+//! transfer-byte arithmetic.
 //!
 //! ```text
 //! model tiny @blocks(2) @levels(2, 20) {

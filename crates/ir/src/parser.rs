@@ -8,6 +8,11 @@ use crate::ast::{
 use crate::diag::{Code, Diagnostic, Span};
 use crate::lexer::{lex, Token, TokenKind};
 
+/// Deepest `residual { ... }` nesting the parser accepts. Parsing, the
+/// analyzer's passes and nn's walk all recurse once per level, so the
+/// cap keeps hostile sources from exhausting the stack.
+pub const MAX_RESIDUAL_DEPTH: usize = 64;
+
 /// Parses a complete `.ir` source into an unchecked [`ModelAst`].
 pub fn parse(src: &str) -> Result<ModelAst, Diagnostic> {
     let tokens = lex(src)?;
@@ -170,7 +175,7 @@ impl Parser {
                         ast.inputs.push(d);
                     }
                     "layer" => {
-                        let d = self.layer_decl()?;
+                        let d = self.layer_decl(0)?;
                         ast.layers.push(d);
                     }
                     "edge" => {
@@ -318,7 +323,9 @@ impl Parser {
         })
     }
 
-    fn layer_decl(&mut self) -> Result<LayerDecl, Diagnostic> {
+    /// Parses one `layer` declaration; `depth` counts the residual
+    /// bodies it sits in.
+    fn layer_decl(&mut self, depth: usize) -> Result<LayerDecl, Diagnostic> {
         let kw = self.expect_keyword("layer")?;
         let (name, name_span) = self.ident("a layer name")?;
         self.expect_tok(&TokenKind::Eq, "`=`")?;
@@ -362,7 +369,17 @@ impl Parser {
                         break;
                     }
                     TokenKind::Ident(w) if w == "layer" => {
-                        let d = self.layer_decl()?;
+                        if depth == MAX_RESIDUAL_DEPTH {
+                            return Err(Diagnostic::new(
+                                Code::UnexpectedToken,
+                                self.peek().span,
+                                format!(
+                                    "residual bodies nest deeper than the limit of \
+                                     {MAX_RESIDUAL_DEPTH} levels"
+                                ),
+                            ));
+                        }
+                        let d = self.layer_decl(depth + 1)?;
                         body.push(d);
                     }
                     _ => return Err(self.unexpected("`layer` or `}` in a residual body")),

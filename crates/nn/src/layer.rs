@@ -58,45 +58,114 @@ impl std::fmt::Display for Shape {
     }
 }
 
-/// Errors from shape inference over layer sequences.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Largest element count of any tensor a checked walk accepts. Keeps
+/// [`Shape::len`] and every transfer-byte product (4 bytes per element,
+/// or packed bits under feature quantization) far below `u64` overflow.
+pub const MAX_ELEMENTS: u64 = 1 << 40;
+
+/// Largest per-layer and cumulative MACC or parameter count a checked
+/// walk accepts, so the `u64` cost accessors and their sums never wrap.
+pub const MAX_COST: u64 = 1 << 62;
+
+/// Errors from the checked shape-and-cost walk over layer sequences.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShapeError {
-    /// Kernel does not fit the (padded) input.
+    /// Kernel does not fit the (padded) input, the stride is zero, or
+    /// the padded extent overflows `usize`.
     KernelTooLarge {
-        /// The offending layer's display name.
-        layer: String,
+        /// Kernel size of the offending (possibly inner) convolution.
+        kernel: usize,
+        /// Its stride.
+        stride: usize,
         /// Input shape that was too small.
         input: Shape,
     },
-    /// A layer that requires flat features received a spatial input.
+    /// A fully-connected layer received a spatial input.
     ExpectedFlat {
-        /// The offending layer's display name.
-        layer: String,
         /// The spatial input shape.
         input: Shape,
     },
-    /// Residual body output shape does not match its input (and no
-    /// downsample projection was provided).
+    /// Residual body output shape does not match the shortcut.
     ResidualMismatch {
-        /// Shape entering the residual block.
-        input: Shape,
         /// Shape produced by the body.
         body: Shape,
+        /// Shape carried by the shortcut (the block input, or its
+        /// projection).
+        shortcut: Shape,
+        /// Whether the shortcut has a projection.
+        projected: bool,
+    },
+    /// The model input has more than [`MAX_ELEMENTS`] elements.
+    InputTooLarge {
+        /// The input shape.
+        input: Shape,
+    },
+    /// A layer output has more than [`MAX_ELEMENTS`] elements (zero
+    /// extents count as one, so every partial product is capped too).
+    TooManyElements {
+        /// The rejected tensor; a dimension that overflowed `usize`
+        /// saturates.
+        tensor: Shape,
+    },
+    /// A MACC or parameter count exceeds [`MAX_COST`].
+    CostTooLarge {
+        /// Whether the running total over the chain (rather than a
+        /// single layer) crossed the cap.
+        cumulative: bool,
+    },
+    /// A spec records a different number of output shapes than layers.
+    RecordedCount {
+        /// Number of recorded shapes.
+        recorded: usize,
+        /// Number of layers.
+        layers: usize,
+    },
+    /// A spec's recorded output shape disagrees with the walk.
+    RecordedMismatch {
+        /// Output shape the walk infers.
+        inferred: Shape,
+        /// Output shape the spec records.
+        recorded: Shape,
     },
 }
 
 impl std::fmt::Display for ShapeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ShapeError::KernelTooLarge { layer, input } => {
-                write!(f, "kernel of {layer} does not fit input {input}")
+            ShapeError::KernelTooLarge {
+                kernel,
+                stride,
+                input,
+            } => write!(
+                f,
+                "kernel {kernel} (stride {stride}) does not fit the padded input {input}"
+            ),
+            ShapeError::ExpectedFlat { input } => {
+                write!(f, "fc expects a flattened input, got {input}")
             }
-            ShapeError::ExpectedFlat { layer, input } => {
-                write!(f, "{layer} expects flat features, got {input}")
+            ShapeError::ResidualMismatch { body, shortcut, .. } => write!(
+                f,
+                "residual join mismatch: body produces {body}, shortcut carries {shortcut}"
+            ),
+            ShapeError::InputTooLarge { input } => write!(
+                f,
+                "input tensor {input} exceeds the {MAX_ELEMENTS}-element analysis cap"
+            ),
+            ShapeError::TooManyElements { tensor } => {
+                write!(f, "tensor {tensor} exceeds the {MAX_ELEMENTS}-element cap")
             }
-            ShapeError::ResidualMismatch { input, body } => {
-                write!(f, "residual body output {body} does not match input {input}")
+            ShapeError::CostTooLarge { cumulative } => write!(
+                f,
+                "{} MACC/parameter count exceeds the 2^62 analysis cap",
+                if *cumulative { "cumulative" } else { "per-layer" }
+            ),
+            ShapeError::RecordedCount { recorded, layers } => {
+                write!(f, "spec records {recorded} output shapes for {layers} layers")
             }
+            ShapeError::RecordedMismatch { inferred, recorded } => write!(
+                f,
+                "re-inferred output {inferred} disagrees with recorded {recorded}"
+            ),
         }
     }
 }
@@ -292,60 +361,51 @@ impl LayerSpec {
         format!("{},{k},{s},{p},{n}", self.kind_name())
     }
 
-    /// Output shape for a given input shape.
+    /// Output shape for a given input shape: the shape rules of the
+    /// checked walk (see [`CheckedWalk`]), including the
+    /// [`MAX_ELEMENTS`] cap on every tensor the layer produces.
     ///
     /// # Errors
     ///
-    /// Returns a [`ShapeError`] if the layer cannot consume `input`.
+    /// Returns a [`ShapeError`] if the layer cannot consume `input` or
+    /// produces an over-large tensor.
     pub fn output_shape(&self, input: Shape) -> Result<Shape, ShapeError> {
-        match *self {
+        let window = |kernel, stride, pad| {
+            conv_out(input, kernel, stride, pad).ok_or(ShapeError::KernelTooLarge {
+                kernel,
+                stride,
+                input,
+            })
+        };
+        let (c, (h, w)) = match *self {
             LayerSpec::Conv2d {
                 kernel,
                 stride,
                 pad,
                 out_channels,
-            } => {
-                let (h, w) = conv_out(input, kernel, stride, pad)
-                    .ok_or_else(|| self.kernel_err(input))?;
-                Ok(Shape::new(out_channels, h, w))
-            }
+            } => (out_channels, window(kernel, stride, pad)?),
             LayerSpec::DepthwiseConv2d { kernel, stride, pad } => {
-                let (h, w) = conv_out(input, kernel, stride, pad)
-                    .ok_or_else(|| self.kernel_err(input))?;
-                Ok(Shape::new(input.c, h, w))
+                (input.c, window(kernel, stride, pad)?)
             }
-            LayerSpec::MaxPool2d { kernel, stride } => {
-                let (h, w) =
-                    conv_out(input, kernel, stride, 0).ok_or_else(|| self.kernel_err(input))?;
-                Ok(Shape::new(input.c, h, w))
-            }
-            LayerSpec::GlobalAvgPool => Ok(Shape::new(input.c, 1, 1)),
-            LayerSpec::Flatten => Ok(Shape::features(input.len())),
+            LayerSpec::MaxPool2d { kernel, stride } => (input.c, window(kernel, stride, 0)?),
+            LayerSpec::GlobalAvgPool => (input.c, (1, 1)),
+            LayerSpec::Flatten => (input.len(), (1, 1)),
             LayerSpec::Fc { out_features } => {
                 if input.h != 1 || input.w != 1 {
-                    return Err(ShapeError::ExpectedFlat {
-                        layer: self.encode(),
-                        input,
-                    });
+                    return Err(ShapeError::ExpectedFlat { input });
                 }
-                Ok(Shape::features(out_features))
+                (out_features, (1, 1))
             }
-            LayerSpec::BatchNorm | LayerSpec::Dropout => Ok(input),
+            LayerSpec::BatchNorm | LayerSpec::Dropout => return Ok(input),
+            // Squeeze 1x1 keeps H,W; expands keep H,W (3x3 is pad 1).
             LayerSpec::Fire {
                 expand1, expand3, ..
-            } => {
-                // squeeze 1x1 keeps H,W; expands keep H,W (3x3 is pad 1).
-                Ok(Shape::new(expand1 + expand3, input.h, input.w))
-            }
+            } => (expand1.saturating_add(expand3), (input.h, input.w)),
             LayerSpec::InvertedResidual {
                 stride,
                 out_channels,
                 ..
-            } => {
-                let (h, w) =
-                    conv_out(input, 3, stride, 1).ok_or_else(|| self.kernel_err(input))?;
-                Ok(Shape::new(out_channels, h, w))
-            }
+            } => (out_channels, window(3, stride, 1)?),
             LayerSpec::Residual {
                 ref body,
                 projection,
@@ -354,205 +414,148 @@ impl LayerSpec {
                 for l in body {
                     s = l.output_shape(s)?;
                 }
-                match projection {
+                let shortcut = match projection {
                     Some((out_c, stride)) => {
-                        let (h, w) = conv_out(input, 1, stride, 0)
-                            .ok_or_else(|| self.kernel_err(input))?;
-                        let proj = Shape::new(out_c, h, w);
-                        if proj != s {
-                            return Err(ShapeError::ResidualMismatch { input, body: s });
-                        }
-                        Ok(s)
+                        let (h, w) = window(1, stride, 0)?;
+                        Shape::new(out_c, h, w)
                     }
-                    None => {
-                        if s != input {
-                            return Err(ShapeError::ResidualMismatch { input, body: s });
-                        }
-                        Ok(s)
-                    }
+                    None => input,
+                };
+                if s != shortcut {
+                    return Err(ShapeError::ResidualMismatch {
+                        body: s,
+                        shortcut,
+                        projected: projection.is_some(),
+                    });
                 }
+                return Ok(s);
             }
-        }
+        };
+        capped(Shape::new(c, h, w)).ok_or(ShapeError::TooManyElements {
+            tensor: Shape::new(c, h, w),
+        })
     }
 
     /// MACC count for this layer given its input shape (Eq. 4 / Eq. 5;
-    /// cheap layers are zero).
+    /// cheap layers are zero), or zero when the layer cannot consume
+    /// `input` or the count is out of range.
     pub fn maccs(&self, input: Shape) -> u64 {
-        match *self {
-            LayerSpec::Conv2d {
-                kernel,
-                stride,
-                pad,
-                out_channels,
-            } => match conv_out(input, kernel, stride, pad) {
-                Some((h, w)) => {
-                    (kernel * kernel) as u64
-                        * input.c as u64
-                        * out_channels as u64
-                        * h as u64
-                        * w as u64
-                }
-                None => 0,
-            },
-            LayerSpec::DepthwiseConv2d { kernel, stride, pad } => {
-                match conv_out(input, kernel, stride, pad) {
-                    Some((h, w)) => {
-                        (kernel * kernel) as u64 * input.c as u64 * h as u64 * w as u64
-                    }
-                    None => 0,
-                }
-            }
-            LayerSpec::Fc { out_features } => input.len() as u64 * out_features as u64,
-            LayerSpec::MaxPool2d { .. }
-            | LayerSpec::GlobalAvgPool
-            | LayerSpec::Flatten
-            | LayerSpec::BatchNorm
-            | LayerSpec::Dropout => 0,
-            LayerSpec::Fire {
-                squeeze,
-                expand1,
-                expand3,
-            } => {
-                let sq = LayerSpec::conv(1, 1, 0, squeeze);
-                let mid = match sq.output_shape(input) {
-                    Ok(s) => s,
-                    Err(_) => return 0,
-                };
-                sq.maccs(input)
-                    + LayerSpec::conv(1, 1, 0, expand1).maccs(mid)
-                    + LayerSpec::conv(3, 1, 1, expand3).maccs(mid)
-            }
-            LayerSpec::InvertedResidual {
-                expansion,
-                stride,
-                out_channels,
-            } => {
-                let hidden = input.c * expansion;
-                let expand = LayerSpec::conv(1, 1, 0, hidden);
-                let mid = match expand.output_shape(input) {
-                    Ok(s) => s,
-                    Err(_) => return 0,
-                };
-                let dw = LayerSpec::DepthwiseConv2d {
-                    kernel: 3,
-                    stride,
-                    pad: 1,
-                };
-                let dw_out = match dw.output_shape(mid) {
-                    Ok(s) => s,
-                    Err(_) => return 0,
-                };
-                expand.maccs(input)
-                    + dw.maccs(mid)
-                    + LayerSpec::conv(1, 1, 0, out_channels).maccs(dw_out)
-            }
-            LayerSpec::Residual {
-                ref body,
-                projection,
-            } => {
-                let mut total = 0;
-                let mut s = input;
-                for l in body {
-                    total += l.maccs(s);
-                    s = match l.output_shape(s) {
-                        Ok(next) => next,
-                        Err(_) => return total,
-                    };
-                }
-                if let Some((out_c, stride)) = projection {
-                    total += LayerSpec::Conv2d {
-                        kernel: 1,
-                        stride,
-                        pad: 0,
-                        out_channels: out_c,
-                    }
-                    .maccs(input);
-                }
-                total
-            }
-        }
+        self.checked_cost(input).map_or(0, |(maccs, _)| maccs)
     }
 
-    /// Trainable parameter count (weights + biases) for this layer.
+    /// Trainable parameter count (weights + biases) for this layer, or
+    /// zero when the layer cannot consume `input` or the count is out of
+    /// range.
     pub fn param_count(&self, input: Shape) -> u64 {
-        match *self {
+        self.checked_cost(input).map_or(0, |(_, params)| params)
+    }
+
+    fn checked_cost(&self, input: Shape) -> Result<(u64, u64), ShapeError> {
+        self.cost(input, self.output_shape(input)?)
+    }
+
+    /// Checked `(MACCs, parameters)` of this layer, each at most
+    /// [`MAX_COST`]; `output` is `self.output_shape(input)`. Inner shapes
+    /// of composite blocks go through [`LayerSpec::output_shape`] and its
+    /// element cap.
+    fn cost(&self, input: Shape, output: Shape) -> Result<(u64, u64), ShapeError> {
+        let over = ShapeError::CostTooLarge { cumulative: false };
+        let c = input.c as u64;
+        let (maccs, params) = match *self {
             LayerSpec::Conv2d {
                 kernel,
                 out_channels,
                 ..
-            } => (kernel * kernel * input.c * out_channels + out_channels) as u64,
-            LayerSpec::DepthwiseConv2d { kernel, .. } => {
-                (kernel * kernel * input.c + input.c) as u64
+            } => {
+                let k = kernel as u64;
+                let weights = product(&[k, k, c, out_channels as u64])?;
+                let maccs = product(&[weights, output.h as u64, output.w as u64])?;
+                (maccs, weights.checked_add(out_channels as u64).ok_or(over)?)
             }
-            LayerSpec::Fc { out_features } => (input.len() * out_features + out_features) as u64,
+            LayerSpec::DepthwiseConv2d { kernel, .. } => {
+                let k = kernel as u64;
+                let weights = product(&[k, k, c])?;
+                let maccs = product(&[weights, output.h as u64, output.w as u64])?;
+                (maccs, weights + c)
+            }
+            LayerSpec::Fc { out_features } => {
+                let maccs = product(&[input.len() as u64, out_features as u64])?;
+                (maccs, maccs.checked_add(out_features as u64).ok_or(over)?)
+            }
             LayerSpec::MaxPool2d { .. }
             | LayerSpec::GlobalAvgPool
             | LayerSpec::Flatten
-            | LayerSpec::Dropout => 0,
-            LayerSpec::BatchNorm => 2 * input.c as u64,
+            | LayerSpec::Dropout => (0, 0),
+            LayerSpec::BatchNorm => (0, 2 * c),
             LayerSpec::Fire {
                 squeeze,
                 expand1,
                 expand3,
             } => {
                 let sq = LayerSpec::conv(1, 1, 0, squeeze);
-                let mid = match sq.output_shape(input) {
-                    Ok(s) => s,
-                    Err(_) => return 0,
+                let mid = sq.output_shape(input)?;
+                // Both expands keep the squeezed extent.
+                let expand = |layer: LayerSpec, out| {
+                    layer.cost(mid, Shape::new(out, mid.h, mid.w))
                 };
-                sq.param_count(input)
-                    + LayerSpec::conv(1, 1, 0, expand1).param_count(mid)
-                    + LayerSpec::conv(3, 1, 1, expand3).param_count(mid)
+                sum(&[
+                    sq.cost(input, mid)?,
+                    expand(LayerSpec::conv(1, 1, 0, expand1), expand1)?,
+                    expand(LayerSpec::conv(3, 1, 1, expand3), expand3)?,
+                ])
             }
             LayerSpec::InvertedResidual {
                 expansion,
                 stride,
                 out_channels,
             } => {
-                let hidden = input.c * expansion;
-                let expand = LayerSpec::conv(1, 1, 0, hidden);
-                let mid = match expand.output_shape(input) {
-                    Ok(s) => s,
-                    Err(_) => return 0,
-                };
+                let hidden = product(&[c, expansion as u64])?;
+                if hidden > MAX_ELEMENTS {
+                    return Err(over);
+                }
+                let expand = LayerSpec::conv(1, 1, 0, hidden as usize);
+                let mid = expand.output_shape(input)?;
                 let dw = LayerSpec::DepthwiseConv2d {
                     kernel: 3,
                     stride,
                     pad: 1,
                 };
-                let dw_out = match dw.output_shape(mid) {
-                    Ok(s) => s,
-                    Err(_) => return 0,
-                };
-                expand.param_count(input)
-                    + dw.param_count(mid)
-                    + LayerSpec::conv(1, 1, 0, out_channels).param_count(dw_out)
+                let dw_out = dw.output_shape(mid)?;
+                sum(&[
+                    expand.cost(input, mid)?,
+                    dw.cost(mid, dw_out)?,
+                    LayerSpec::conv(1, 1, 0, out_channels).cost(dw_out, output)?,
+                ])
             }
             LayerSpec::Residual {
                 ref body,
                 projection,
             } => {
-                let mut total = 0;
+                let (mut maccs, mut params) = (0u64, 0u64);
                 let mut s = input;
                 for l in body {
-                    total += l.param_count(s);
-                    s = match l.output_shape(s) {
-                        Ok(next) => next,
-                        Err(_) => return total,
-                    };
+                    let out = l.output_shape(s)?;
+                    let (m, p) = l.cost(s, out)?;
+                    // Both sides are at most 2^62, so the sums cannot wrap.
+                    maccs += m;
+                    params += p;
+                    if maccs > MAX_COST || params > MAX_COST {
+                        return Err(over);
+                    }
+                    s = out;
                 }
                 if let Some((out_c, stride)) = projection {
-                    total += LayerSpec::Conv2d {
-                        kernel: 1,
-                        stride,
-                        pad: 0,
-                        out_channels: out_c,
-                    }
-                    .param_count(input);
+                    let (m, p) = LayerSpec::conv(1, stride, 0, out_c).cost(input, output)?;
+                    maccs += m;
+                    params += p;
                 }
-                total
+                (maccs, params)
             }
+        };
+        if maccs > MAX_COST || params > MAX_COST {
+            return Err(over);
         }
+        Ok((maccs, params))
     }
 
     /// Number of distinct latency cost classes (see [`LayerSpec::cost_class`]).
@@ -603,25 +606,127 @@ impl LayerSpec {
                 | LayerSpec::Residual { .. }
         )
     }
+}
 
-    fn kernel_err(&self, input: Shape) -> ShapeError {
-        ShapeError::KernelTooLarge {
-            layer: self.encode(),
-            input,
+/// One step of a [`CheckedWalk`]: a layer's output shape and MACCs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LayerCost {
+    /// Output shape.
+    pub output: Shape,
+    /// MACCs (Eq. 4 / Eq. 5).
+    pub maccs: u64,
+}
+
+/// The checked shape-and-cost walk over a layer chain: the one place the
+/// shape rules, the Eq. 4/5 cost arithmetic and their caps are enforced.
+///
+/// Every tensor stays within [`MAX_ELEMENTS`], and every per-layer and
+/// cumulative MACC or parameter count within [`MAX_COST`]. A chain the
+/// walk accepts therefore cannot overflow the unchecked `u64`/`usize`
+/// accessors of [`crate::ModelSpec`]. [`crate::ModelSpec::new`] walks
+/// every chain it builds; the IR checker walks chains layer by layer to
+/// attach source spans to the errors.
+///
+/// # Examples
+///
+/// ```
+/// use cadmc_nn::{CheckedWalk, LayerSpec, Shape, ShapeError};
+///
+/// let mut walk = CheckedWalk::new(Shape::new(3, 8, 8)).unwrap();
+/// let step = walk.step(&LayerSpec::conv(3, 1, 1, 4)).unwrap();
+/// assert_eq!(step.output, Shape::new(4, 8, 8));
+/// assert_eq!(step.maccs, 3 * 3 * 3 * 4 * 8 * 8);
+/// let err = walk.step(&LayerSpec::fc(10)).unwrap_err();
+/// assert!(matches!(err, ShapeError::ExpectedFlat { .. }));
+/// ```
+#[derive(Debug, Clone)]
+pub struct CheckedWalk {
+    shape: Shape,
+    maccs: u64,
+    params: u64,
+}
+
+impl CheckedWalk {
+    /// Starts a walk at the model input.
+    ///
+    /// # Errors
+    ///
+    /// [`ShapeError::InputTooLarge`] when the input exceeds
+    /// [`MAX_ELEMENTS`].
+    pub fn new(input: Shape) -> Result<Self, ShapeError> {
+        capped(input).ok_or(ShapeError::InputTooLarge { input })?;
+        Ok(Self {
+            shape: input,
+            maccs: 0,
+            params: 0,
+        })
+    }
+
+    /// Advances the walk over `layer`, returning its output shape and
+    /// MACCs. On error the walk stays where it was.
+    ///
+    /// # Errors
+    ///
+    /// The layer's [`ShapeError`], or [`ShapeError::CostTooLarge`] with
+    /// `cumulative` set when the running totals cross [`MAX_COST`].
+    pub fn step(&mut self, layer: &LayerSpec) -> Result<LayerCost, ShapeError> {
+        let output = layer.output_shape(self.shape)?;
+        let (maccs, params) = layer.cost(self.shape, output)?;
+        // Both terms are at most 2^62, so the sums cannot wrap.
+        let (total_maccs, total_params) = (self.maccs + maccs, self.params + params);
+        if total_maccs > MAX_COST || total_params > MAX_COST {
+            return Err(ShapeError::CostTooLarge { cumulative: true });
         }
+        self.shape = output;
+        self.maccs = total_maccs;
+        self.params = total_params;
+        Ok(LayerCost { output, maccs })
+    }
+
+    /// MACCs of the layers walked so far.
+    pub fn total_maccs(&self) -> u64 {
+        self.maccs
     }
 }
 
+/// Output extent of a sliding window; `None` when the window does not
+/// fit, the stride is zero or the padded extent overflows.
 fn conv_out(input: Shape, kernel: usize, stride: usize, pad: usize) -> Option<(usize, usize)> {
     if stride == 0 {
         return None;
     }
-    let ph = input.h + 2 * pad;
-    let pw = input.w + 2 * pad;
-    if ph < kernel || pw < kernel {
-        return None;
-    }
-    Some(((ph - kernel) / stride + 1, (pw - kernel) / stride + 1))
+    let extent = |x: usize| {
+        let padded = x.checked_add(pad.checked_mul(2)?)?;
+        Some(padded.checked_sub(kernel)? / stride + 1)
+    };
+    Some((extent(input.h)?, extent(input.w)?))
+}
+
+/// `shape` when it holds at most [`MAX_ELEMENTS`] elements. Zero extents
+/// count as one, so every partial product of the dimensions is capped
+/// and no later `usize` product over them can wrap.
+fn capped(shape: Shape) -> Option<Shape> {
+    [shape.c, shape.h, shape.w]
+        .iter()
+        .try_fold(1u64, |acc, &d| acc.checked_mul(d.max(1) as u64))
+        .filter(|&n| n <= MAX_ELEMENTS)
+        .map(|_| shape)
+}
+
+/// Checked product of cost factors; a product above [`MAX_COST`] is a
+/// per-layer cost error.
+fn product(factors: &[u64]) -> Result<u64, ShapeError> {
+    factors
+        .iter()
+        .try_fold(1u64, |acc, &f| acc.checked_mul(f))
+        .filter(|&n| n <= MAX_COST)
+        .ok_or(ShapeError::CostTooLarge { cumulative: false })
+}
+
+/// Sum of the sub-layer costs of a composite block (three terms of at
+/// most 2^62 each, so it cannot wrap).
+fn sum(parts: &[(u64, u64)]) -> (u64, u64) {
+    parts.iter().fold((0, 0), |(m, p), &(pm, pp)| (m + pm, p + pp))
 }
 
 #[cfg(test)]
@@ -767,6 +872,54 @@ mod tests {
     #[test]
     fn transfer_bytes_are_f32() {
         assert_eq!(Shape::new(64, 16, 16).transfer_bytes(), 64 * 16 * 16 * 4);
+    }
+
+    #[test]
+    fn walk_caps_tensors_and_costs() {
+        // Exactly 2^40 input elements are allowed; one more doubling is not.
+        let at_cap = Shape::new(1 << 20, 1 << 10, 1 << 10);
+        let mut walk = CheckedWalk::new(at_cap).unwrap();
+        assert_eq!(
+            CheckedWalk::new(Shape::new(1 << 21, 1 << 10, 1 << 10)).unwrap_err(),
+            ShapeError::InputTooLarge {
+                input: Shape::new(1 << 21, 1 << 10, 1 << 10)
+            }
+        );
+        // A 2^44-element output (and 2^64 MACCs) is refused, not wrapped.
+        assert_eq!(
+            walk.step(&LayerSpec::conv(1, 1, 0, 1 << 24)).unwrap_err(),
+            ShapeError::TooManyElements {
+                tensor: Shape::new(1 << 24, 1 << 10, 1 << 10)
+            }
+        );
+        // A padding that would wrap `usize` is a typed error too.
+        let err = walk.step(&LayerSpec::conv(1, 1, usize::MAX, 1)).unwrap_err();
+        assert!(matches!(err, ShapeError::KernelTooLarge { .. }), "{err}");
+        // Zero extents cannot hide an oversized partial product.
+        let zero_wide = Shape::new(1 << 30, 1 << 30, 0);
+        assert!(CheckedWalk::new(zero_wide).is_err());
+        // Per-layer cost: a 2^24-wide kernel over 2^7 -> 2^8 channels
+        // costs 2^63 MACCs on a 1x1 output.
+        let mut walk = CheckedWalk::new(Shape::new(1 << 7, 1, 1)).unwrap();
+        let huge = |out| LayerSpec::conv(1 << 24, 1 << 24, 1 << 23, out);
+        assert_eq!(
+            walk.step(&huge(1 << 8)).unwrap_err(),
+            ShapeError::CostTooLarge { cumulative: false }
+        );
+        // Cumulative cost: two 2^61-MACC layers cross 2^62 together.
+        assert_eq!(walk.step(&huge(1 << 6)).unwrap().maccs, 1 << 61);
+        assert_eq!(
+            walk.step(&huge(1 << 7)).unwrap_err(),
+            ShapeError::CostTooLarge { cumulative: true }
+        );
+        assert_eq!(walk.total_maccs(), 1 << 61, "a failed step leaves the walk");
+    }
+
+    #[test]
+    fn out_of_range_costs_read_as_zero() {
+        let input = Shape::new(1 << 20, 1 << 10, 1 << 10);
+        assert_eq!(LayerSpec::conv(1, 1, 0, 1 << 24).maccs(input), 0);
+        assert_eq!(LayerSpec::fc(10).param_count(Shape::features(1 << 62)), 0);
     }
 
     #[test]

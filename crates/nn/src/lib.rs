@@ -37,5 +37,5 @@ pub mod runtime;
 pub mod trainer;
 pub mod zoo;
 
-pub use layer::{LayerSpec, Shape, ShapeError};
+pub use layer::{CheckedWalk, LayerCost, LayerSpec, Shape, ShapeError, MAX_COST, MAX_ELEMENTS};
 pub use model::{ClassSums, ModelSpec};

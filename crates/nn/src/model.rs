@@ -5,11 +5,12 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
 
-use crate::layer::{LayerSpec, Shape, ShapeError};
+use crate::layer::{CheckedWalk, LayerSpec, Shape, ShapeError};
 
-/// Lazily-computed derived quantities of a [`ModelSpec`]: the structural
-/// hash and the per-layer / total MACC counts. Both are pure functions of
-/// the spec, re-derived on demand — so the cache is invisible to equality,
+/// Derived quantities of a [`ModelSpec`]: the structural hash and the
+/// per-layer / total MACC counts (the latter filled by the walk in
+/// [`ModelSpec::new`]). Both are pure functions of the spec, re-derived
+/// on demand when missing — so the cache is invisible to equality,
 /// serialization, and cloning, and is simply reset whenever the spec
 /// changes (every mutation path goes through [`ModelSpec::new`] or
 /// [`ModelSpec::set_name`]).
@@ -139,30 +140,61 @@ pub struct ModelSpec {
 }
 
 impl ModelSpec {
-    /// Builds and shape-checks a model.
+    /// Builds a model, running the [`CheckedWalk`] over `layers`: every
+    /// spec this returns is shape-consistent and within the element and
+    /// cost caps, so its `u64` cost accessors cannot overflow.
     ///
     /// # Errors
     ///
-    /// Returns the first [`ShapeError`] encountered while propagating the
-    /// input shape through `layers`.
+    /// Returns the first [`ShapeError`] the walk meets.
     pub fn new(
         name: impl Into<String>,
         input: Shape,
         layers: Vec<LayerSpec>,
     ) -> Result<Self, ShapeError> {
+        let mut walk = CheckedWalk::new(input)?;
         let mut shapes = Vec::with_capacity(layers.len());
-        let mut s = input;
+        let mut maccs = Vec::with_capacity(layers.len());
         for layer in &layers {
-            s = layer.output_shape(s)?;
-            shapes.push(s);
+            let step = walk.step(layer)?;
+            shapes.push(step.output);
+            maccs.push(step.maccs);
         }
+        let cache = ModelCache::default();
+        let _ = cache.maccs.set((maccs, walk.total_maccs()));
         Ok(Self {
             name: name.into(),
             input,
             layers,
             shapes,
-            cache: ModelCache::default(),
+            cache,
         })
+    }
+
+    /// Re-runs the [`CheckedWalk`] from the recorded input and compares
+    /// every output with the recorded shape. Specs from
+    /// [`ModelSpec::new`] pass by construction; a deserialized spec
+    /// carries recorded shapes and unchecked sizes that only this proves.
+    ///
+    /// # Errors
+    ///
+    /// The index of the first offending layer and its [`ShapeError`].
+    pub fn recheck(&self) -> Result<(), (usize, ShapeError)> {
+        if self.shapes.len() != self.layers.len() {
+            let err = ShapeError::RecordedCount {
+                recorded: self.shapes.len(),
+                layers: self.layers.len(),
+            };
+            return Err((self.shapes.len().min(self.layers.len()), err));
+        }
+        let mut walk = CheckedWalk::new(self.input).map_err(|e| (0, e))?;
+        for (i, (layer, &recorded)) in self.layers.iter().zip(&self.shapes).enumerate() {
+            let inferred = walk.step(layer).map_err(|e| (i, e))?.output;
+            if inferred != recorded {
+                return Err((i, ShapeError::RecordedMismatch { inferred, recorded }));
+            }
+        }
+        Ok(())
     }
 
     /// Model name.
@@ -216,10 +248,11 @@ impl ModelSpec {
         self.shapes[i]
     }
 
-    /// Per-layer MACCs and their sum, computed once per spec. Layer MACC
-    /// inference walks the layer's arithmetic every call, and the searches
-    /// ask for these counts on every candidate evaluation — memoizing them
-    /// is one of the wins that makes parallel rollouts scale.
+    /// Per-layer MACCs and their sum, computed once per spec (by the walk
+    /// in [`ModelSpec::new`], or on first use after deserialization). The
+    /// searches ask for these counts on every candidate evaluation —
+    /// memoizing them is one of the wins that makes parallel rollouts
+    /// scale.
     fn maccs(&self) -> &(Vec<u64>, u64) {
         self.cache.maccs.get_or_init(|| {
             let per_layer: Vec<u64> = (0..self.layers.len())
@@ -588,6 +621,60 @@ mod tests {
         assert_eq!(back, m);
         assert_eq!(back.structural_hash(), h);
         assert_eq!(back.total_maccs(), maccs);
+    }
+
+    #[test]
+    fn recheck_catches_forged_recorded_shapes() {
+        let m = toy();
+        assert_eq!(m.recheck(), Ok(()));
+        let mut value = m.serialize();
+        if let serde::Value::Object(fields) = &mut value {
+            for (key, v) in fields.iter_mut() {
+                if key == "shapes" {
+                    if let serde::Value::Array(shapes) = v {
+                        shapes.swap(0, 1);
+                    }
+                }
+            }
+        }
+        let forged = ModelSpec::deserialize(&value).unwrap();
+        assert_eq!(
+            forged.recheck(),
+            Err((
+                0,
+                ShapeError::RecordedMismatch {
+                    inferred: Shape::new(16, 32, 32),
+                    recorded: Shape::new(16, 16, 16),
+                }
+            ))
+        );
+        if let serde::Value::Object(fields) = &mut value {
+            for (key, v) in fields.iter_mut() {
+                if key == "shapes" {
+                    *v = serde::Value::Array(Vec::new());
+                }
+            }
+        }
+        let truncated = ModelSpec::deserialize(&value).unwrap();
+        assert_eq!(
+            truncated.recheck(),
+            Err((
+                0,
+                ShapeError::RecordedCount {
+                    recorded: 0,
+                    layers: m.len()
+                }
+            ))
+        );
+    }
+
+    #[test]
+    fn new_primes_the_macc_cache_with_the_walk() {
+        let m = toy();
+        let lazy = ModelSpec::deserialize(&m.serialize()).unwrap();
+        let sums: Vec<u64> = (0..m.len()).map(|i| m.layer_maccs(i)).collect();
+        assert_eq!(sums, (0..m.len()).map(|i| lazy.layer_maccs(i)).collect::<Vec<_>>());
+        assert_eq!(m.total_maccs(), lazy.total_maccs());
     }
 
     #[test]

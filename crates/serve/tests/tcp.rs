@@ -96,3 +96,34 @@ fn submits_after_drain_are_shed() {
         Ok(_) => panic!("draining server admitted a session"),
     }
 }
+
+/// A 100,000-deep `[[[…]]]` line (about 200 KB) used to recurse the JSON
+/// parser until the stack overflowed and the process aborted. The
+/// nesting cap makes it an ordinary malformed line: `parse_request`
+/// returns `Err`, the TCP loop answers with `Response::Error`, and the
+/// connection keeps serving.
+#[test]
+fn over_deep_json_line_is_an_error_reply_not_an_abort() {
+    let line = format!("{}{}", "[".repeat(100_000), "]".repeat(100_000));
+    let err = cadmc_serve::protocol::parse_request(&line).expect_err("over-deep line");
+    assert!(err.contains("recursion limit"), "{err}");
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+    let addr = listener.local_addr().expect("addr");
+    let server = Arc::new(Server::new(ServerConfig::default()));
+    let server_thread = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || tcp::serve(&server, listener))
+    };
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    assert!(matches!(send_line(&mut conn, &line), Response::Error { .. }));
+    assert_eq!(send_line(&mut conn, "\"Ping\""), Response::Pong);
+    assert!(matches!(
+        send_line(&mut conn, "\"Drain\""),
+        Response::Draining { .. }
+    ));
+    server_thread
+        .join()
+        .expect("server thread")
+        .expect("listener io");
+}
